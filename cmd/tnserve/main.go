@@ -1,7 +1,10 @@
 // Command tnserve serves trained TrueNorth models over HTTP with dynamic
 // micro-batching: concurrent classify requests coalesce into engine batches
 // while responses stay bit-identical to the offline fast path for a fixed
-// per-request seed.
+// per-request seed. Batching is busy-aware by default: a request reaching an
+// idle worker is classified at once, and only requests arriving while a
+// batch is running wait to join the next one. -window sets a fixed
+// coalescing deadline instead.
 //
 // It runs in one of two roles:
 //
@@ -18,7 +21,8 @@
 //	tnserve -models models/                    # serve every *.json in a dir
 //	tnserve bench1_biased.json other.json      # or individual model files
 //	tnserve -demo -addr :8081                  # deterministic built-in model
-//	tnserve -addr :9090 -window 1ms -max-batch 128 -workers 8 models/
+//	tnserve -addr :9090 -max-batch 128 -workers 8 models/
+//	tnserve -window 1ms models/                # fixed 1ms coalescing deadline
 //	tnserve -route -backends http://h1:8081,http://h2:8081 -addr :8080
 //	tnserve -demo -snapshot-file /var/lib/tnserve.snap   # warm restarts
 //
@@ -57,7 +61,7 @@ func main() {
 		// Worker role.
 		modelDir   = flag.String("models", "", "directory of *.json models (tntrain envelopes or raw networks)")
 		demo       = flag.Bool("demo", false, "register the deterministic built-in demo model")
-		window     = flag.Duration("window", 2*time.Millisecond, "micro-batch deadline: max wait after a batch's first item")
+		window     = flag.Duration("window", 0, "micro-batch deadline: max wait after a batch's first item (0 = busy-aware: wait only while a batch is running)")
 		maxBatch   = flag.Int("max-batch", 64, "size-triggered flush threshold")
 		queueCap   = flag.Int("queue", 0, "pending-item queue bound (0 = 4*max-batch)")
 		flushers   = flag.Int("flushers", 2, "concurrent batch executors")
@@ -164,8 +168,12 @@ func main() {
 		RetryAfterS:  *retryAfter,
 		SnapshotPath: *snapFile,
 	})
-	log.Printf("tnserve: %d model(s) %v on %s (window %s, max-batch %d, shed-depth %d)",
-		len(reg.Names()), reg.Names(), *addr, *window, *maxBatch, *shedDepth)
+	batching := "busy-aware batching"
+	if *window > 0 {
+		batching = "window " + window.String()
+	}
+	log.Printf("tnserve: %d model(s) %v on %s (%s, max-batch %d, shed-depth %d)",
+		len(reg.Names()), reg.Names(), *addr, batching, *maxBatch, *shedDepth)
 	closeFn := srv.Close
 	if *snapFile != "" {
 		// Drain writes the snapshot after the batcher has flushed every
@@ -243,7 +251,15 @@ func withPprof(handler http.Handler, on bool) http.Handler {
 // server drains its handlers, then closeFn drains the role's own pipeline
 // (batcher or health checker).
 func serveHTTP(addr string, handler http.Handler, drainFor time.Duration, closeFn func()) {
-	hs := &http.Server{Addr: addr, Handler: handler}
+	// Header and idle timeouts bound what a slow or silent client can hold:
+	// a connection that never finishes its headers, or idles between
+	// keep-alive requests, is closed instead of pinning a goroutine forever.
+	hs := &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	shutdownDone := make(chan struct{})

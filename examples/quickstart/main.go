@@ -14,7 +14,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/deploy"
@@ -106,13 +105,15 @@ func main() {
 	// (what `tnserve` runs). Requests carry a seed, and the response is
 	// bit-identical to the offline fast path for that seed no matter how the
 	// server batches traffic — verified below against a direct
-	// FastPredictor call using the serving stream contract.
+	// FastPredictor call using the serving stream contract. Batching is
+	// busy-aware: a request reaching an idle server runs at once, and only
+	// requests arriving while a batch runs wait to form the next one.
 	reg := serve.NewRegistry()
 	if _, err := reg.Register("quickstart", model.Net, &model.Meta); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	srv := serve.NewServer(reg, serve.Config{MaxBatch: 16, Window: 2 * time.Millisecond})
+	srv := serve.NewServer(reg, serve.Config{MaxBatch: 16})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

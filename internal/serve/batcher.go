@@ -18,8 +18,10 @@ type BatcherConfig struct {
 	// (default 32).
 	MaxBatch int
 	// Window is the deadline trigger: a batch is flushed at most Window after
-	// its first item arrived, however few items joined it. Zero means no
-	// waiting — each flush takes whatever is queued at that instant.
+	// its first item arrived, however few items joined it. Zero (the
+	// default) is busy-aware batching: a batch waits only while an earlier
+	// batch is still unflushed, so an idle pipeline dispatches at once and a
+	// busy one coalesces the arrivals that would have queued anyway.
 	Window time.Duration
 	// QueueCap bounds the submission queue (default 4*MaxBatch). When the
 	// queue is full, Submit blocks — backpressure propagates to callers
@@ -44,8 +46,9 @@ func (c BatcherConfig) withDefaults() BatcherConfig {
 }
 
 // Batcher coalesces concurrently submitted items into batches and hands them
-// to a flush function. Flushing triggers on size (MaxBatch) or deadline
-// (Window after a batch's first item); the submission queue is bounded, so a
+// to a flush function. Flushing triggers on size (MaxBatch), on deadline
+// (Window after a batch's first item) or, with a zero Window, as soon as no
+// earlier batch is left unflushed; the submission queue is bounded, so a
 // saturated pipeline pushes back on submitters rather than buffering
 // unboundedly; Close drains gracefully — every item accepted before Close is
 // flushed before Close returns.
@@ -68,6 +71,10 @@ type Batcher[T any] struct {
 	closeOnce  sync.Once
 
 	flushes atomic.Int64
+	// unflushed counts dispatched batches whose flush has not returned;
+	// freed wakes a collector holding a batch open when one returns.
+	unflushed atomic.Int64
+	freed     chan struct{}
 }
 
 // NewBatcher starts a batcher delivering batches to flush, which may be
@@ -80,6 +87,7 @@ func NewBatcher[T any](cfg BatcherConfig, flush func([]T)) *Batcher[T] {
 		in:      make(chan T, cfg.QueueCap),
 		batches: make(chan []T, cfg.FlushWorkers),
 		closeCh: make(chan struct{}),
+		freed:   make(chan struct{}, 1),
 	}
 	b.workers.Add(1)
 	go b.collect()
@@ -136,7 +144,9 @@ func (b *Batcher[T]) Flushes() int64 { return b.flushes.Load() }
 
 // collect assembles batches: greedily absorb whatever is queued, then hold
 // the batch open until MaxBatch items or the Window deadline, whichever
-// comes first.
+// comes first. With a zero Window the batch is held open instead while any
+// dispatched batch is unflushed: like Nagle's algorithm, an idle pipeline
+// sends at once and a busy one coalesces until it frees.
 func (b *Batcher[T]) collect() {
 	defer b.workers.Done()
 	defer close(b.batches)
@@ -148,9 +158,26 @@ func (b *Batcher[T]) collect() {
 	dispatch := func() {
 		if len(batch) > 0 {
 			b.flushes.Add(1)
+			b.unflushed.Add(1)
 			b.batches <- batch
 			batch = nil
 		}
+	}
+	// absorb takes whatever is queued, up to MaxBatch; false means the
+	// input closed.
+	absorb := func() bool {
+		for len(batch) < b.cfg.MaxBatch {
+			select {
+			case it, ok := <-b.in:
+				if !ok {
+					return false
+				}
+				batch = append(batch, it)
+			default:
+				return true
+			}
+		}
+		return true
 	}
 outer:
 	for {
@@ -159,21 +186,33 @@ outer:
 			return
 		}
 		batch = append(batch, item)
-	greedy:
-		for len(batch) < b.cfg.MaxBatch {
-			select {
-			case it, ok := <-b.in:
-				if !ok {
-					dispatch()
-					return
-				}
-				batch = append(batch, it)
-			default:
-				break greedy
-			}
-		}
-		if len(batch) >= b.cfg.MaxBatch || b.cfg.Window <= 0 {
+		if !absorb() {
 			dispatch()
+			return
+		}
+		if len(batch) >= b.cfg.MaxBatch {
+			dispatch()
+			continue
+		}
+		if b.cfg.Window <= 0 {
+			for len(batch) < b.cfg.MaxBatch && b.unflushed.Load() > 0 {
+				select {
+				case it, ok := <-b.in:
+					if !ok {
+						dispatch()
+						return
+					}
+					batch = append(batch, it)
+				case <-b.freed:
+				}
+			}
+			// The flush that freed the pipeline may race arrivals already
+			// queued behind it: they join this batch, not the next.
+			open := absorb()
+			dispatch()
+			if !open {
+				return
+			}
 			continue
 		}
 		timer.Reset(b.cfg.Window)
@@ -202,5 +241,10 @@ func (b *Batcher[T]) worker() {
 	defer b.workers.Done()
 	for batch := range b.batches {
 		b.flush(batch)
+		b.unflushed.Add(-1)
+		select {
+		case b.freed <- struct{}{}:
+		default: // a wake-up is already pending
+		}
 	}
 }

@@ -321,3 +321,85 @@ func TestBatcherZeroWindowGreedy(t *testing.T) {
 	}
 	b.Close()
 }
+
+// TestBatcherBusyCoalesces: with a zero window, items arriving while a flush
+// runs are held open and leave together as soon as it finishes.
+func TestBatcherBusyCoalesces(t *testing.T) {
+	const n = 5
+	gate := make(chan struct{})
+	batches := make(chan []int, n+1)
+	b := NewBatcher(BatcherConfig{MaxBatch: 8, QueueCap: 16, FlushWorkers: 1}, func(batch []int) {
+		if batch[0] == 0 {
+			<-gate // the first flush stays busy until released
+		}
+		batches <- append([]int(nil), batch...)
+	})
+	defer b.Close()
+	if err := b.Submit(context.Background(), 0); err != nil {
+		t.Fatal(err)
+	}
+	// Wait until the first batch is in flight, so the next items find the
+	// pipeline busy rather than joining it.
+	for b.Flushes() == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	for i := 1; i <= n; i++ {
+		if err := b.Submit(context.Background(), i); err != nil {
+			t.Fatal(err)
+		}
+		// Let the collector take each item off the queue before the next
+		// arrives, so it faces them one at a time, as it would spread-out
+		// traffic. A batcher that dispatched them instead would stall on
+		// the full hand-off buffer and leave the queue non-empty.
+		for deadline := time.Now().Add(time.Second); b.Depth() > 0 && time.Now().Before(deadline); {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	close(gate)
+	if got := <-batches; len(got) != 1 || got[0] != 0 {
+		t.Fatalf("first batch %v, want [0]", got)
+	}
+	got := <-batches
+	if len(got) != n {
+		t.Fatalf("batch after the busy flush %v, want all %d items held during it", got, n)
+	}
+	for i, v := range got {
+		if v != i+1 {
+			t.Fatalf("batch %v out of submission order", got)
+		}
+	}
+	if f := b.Flushes(); f != 2 {
+		t.Fatalf("%d flushes, want 2", f)
+	}
+}
+
+// TestBatcherIdleDispatchesAtOnce: with a zero window an idle batcher sends a
+// lone item straight out as a batch of one, with no timer in the way. Each
+// round trip waits for the previous flush, so the pipeline is idle at every
+// submit; a deadline of any length would show in the fastest round trip.
+func TestBatcherIdleDispatchesAtOnce(t *testing.T) {
+	batches := make(chan []int, 1)
+	b := NewBatcher(BatcherConfig{MaxBatch: 64}, func(batch []int) {
+		batches <- append([]int(nil), batch...)
+	})
+	defer b.Close()
+	fastest := time.Hour
+	for i := 0; i < 20; i++ {
+		start := time.Now()
+		if err := b.Submit(context.Background(), i); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case got := <-batches:
+			if len(got) != 1 || got[0] != i {
+				t.Fatalf("round trip %d flushed %v, want [%d]", i, got, i)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("lone item %d never flushed", i)
+		}
+		fastest = min(fastest, time.Since(start))
+	}
+	if fastest > time.Millisecond {
+		t.Fatalf("fastest idle round trip took %s: a lone item waited on a timer", fastest)
+	}
+}

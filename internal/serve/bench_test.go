@@ -6,35 +6,57 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
+// benchExactBody is one exact single-input request for the 256-input
+// benchmark net.
+func benchExactBody(b *testing.B) []byte {
+	x := make([]float64, 256)
+	for i := range x {
+		x[i] = float64(i%16) / 16
+	}
+	raw, err := json.Marshal(ClassifyRequest{Model: "m", Seed: 1, SPF: 4, Input: x})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return raw
+}
+
+// benchPost sends one classify request and requires a 200. It reports
+// failures with Error, so it is safe on any goroutine.
+func benchPost(b *testing.B, client *http.Client, url string, body []byte) bool {
+	resp, err := client.Post(url+"/v1/classify", "application/json", bytes.NewReader(body))
+	if err != nil {
+		b.Error(err)
+		return false
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		b.Errorf("status %d", resp.StatusCode)
+		return false
+	}
+	return true
+}
+
 // BenchmarkServeClassify measures end-to-end request throughput through the
 // full HTTP + micro-batching pipeline on one warm model, under the default
-// production batching config (2ms coalescing window). The serial case is the
-// single-request baseline: one client, one request in flight, so every
-// request waits out the window deadline — the latency cost of dynamic
-// batching when the server is idle. The concurrent case is the same server
-// under parallel load: batches hit MaxBatch and flush on size before the
-// deadline, so throughput scales back to engine/HTTP-bound (and, on
-// multi-core hosts, to parallel engine fan-out on top). The acceptance bar
-// is concurrent req/s >= 2x serial req/s.
+// busy-aware batching. The serial case is the single-request baseline: one
+// client, one request in flight, so the pipeline is idle at every arrival
+// and each request is flushed alone at once. The concurrent case is the
+// same server under parallel load: arrivals that find a flush running
+// coalesce behind it, so throughput scales back to engine/HTTP-bound (and,
+// on multi-core hosts, to parallel engine fan-out on top).
 func BenchmarkServeClassify(b *testing.B) {
 	net := testNet(b, 31, 256, 128, 4)
-	body := func() []byte {
-		x := make([]float64, 256)
-		for i := range x {
-			x[i] = float64(i%16) / 16
-		}
-		raw, err := json.Marshal(ClassifyRequest{Model: "m", Seed: 1, SPF: 4, Input: x})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return raw
-	}()
+	body := benchExactBody(b)
 	newServer := func(b *testing.B) (*httptest.Server, func()) {
 		reg := NewRegistry()
 		if _, err := reg.Register("m", net, nil); err != nil {
@@ -44,17 +66,6 @@ func BenchmarkServeClassify(b *testing.B) {
 		ts := httptest.NewServer(srv.Handler())
 		return ts, func() { ts.Close(); srv.Close() }
 	}
-	post := func(b *testing.B, client *http.Client, url string) {
-		resp, err := client.Post(url+"/v1/classify", "application/json", bytes.NewReader(body))
-		if err != nil {
-			b.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			b.Fatalf("status %d", resp.StatusCode)
-		}
-	}
 
 	b.Run("serial", func(b *testing.B) {
 		ts, shutdown := newServer(b)
@@ -62,7 +73,9 @@ func BenchmarkServeClassify(b *testing.B) {
 		client := ts.Client()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			post(b, client, ts.URL)
+			if !benchPost(b, client, ts.URL, body) {
+				b.FailNow()
+			}
 		}
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
 	})
@@ -73,12 +86,61 @@ func BenchmarkServeClassify(b *testing.B) {
 		b.SetParallelism(32)
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				post(b, client, ts.URL)
+			for pb.Next() && benchPost(b, client, ts.URL, body) {
 			}
 		})
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
 	})
+}
+
+// BenchmarkServeSaturated measures throughput at saturation: 64 closed-loop
+// clients each keep one exact request in flight, against the default
+// busy-aware batcher and against a fixed 2ms coalescing window. It reports
+// req/s and the mean batch size (items per flush); busy-aware batching must
+// keep up with the window here while not making idle requests wait.
+func BenchmarkServeSaturated(b *testing.B) {
+	const clients = 64
+	net := testNet(b, 31, 256, 128, 4)
+	body := benchExactBody(b)
+	for _, sub := range []struct {
+		name string
+		cfg  Config
+	}{{"busy", Config{}}, {"window2ms", Config{Window: 2 * time.Millisecond}}} {
+		b.Run(sub.name, func(b *testing.B) {
+			reg := NewRegistry()
+			if _, err := reg.Register("m", net, nil); err != nil {
+				b.Fatal(err)
+			}
+			srv := NewServer(reg, sub.cfg)
+			ts := httptest.NewServer(srv.Handler())
+			defer func() { ts.Close(); srv.Close() }()
+			client := ts.Client()
+			client.Transport.(*http.Transport).MaxIdleConnsPerHost = clients
+			if !benchPost(b, client, ts.URL, body) { // warm the sampled copy
+				b.FailNow()
+			}
+			before := srv.Stats()
+			var left atomic.Int64
+			left.Store(int64(b.N))
+			var wg sync.WaitGroup
+			b.ResetTimer()
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for left.Add(-1) >= 0 && benchPost(b, client, ts.URL, body) {
+					}
+				}()
+			}
+			wg.Wait()
+			b.StopTimer()
+			after := srv.Stats()
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
+			if flushes := after.Flushes - before.Flushes; flushes > 0 {
+				b.ReportMetric(float64(after.ItemsTotal-before.ItemsTotal)/float64(flushes), "items/flush")
+			}
+		})
+	}
 }
 
 // decisiveBenchNet builds a single-core network whose class-0 readout neurons
@@ -121,10 +183,10 @@ func decisiveBenchNet(tb testing.TB, inputs, neurons, classes int) *nn.Network {
 
 // BenchmarkServeClassifyConf measures end-to-end ensemble requests (16 copies,
 // 4 spf) exact versus confidence-gated through the full HTTP pipeline, on a
-// decisive-vote model. The coalescing window is disabled so the measured cost
-// is inference, not the idle-server batching deadline; the gap between the
-// exact and conf99 sub-benchmarks is the early-exit payoff a serving client
-// sees (BENCH_6.json).
+// decisive-vote model. Each batch holds one request (MaxBatch 1), so the
+// measured cost is inference alone; the gap between the exact and conf99
+// sub-benchmarks is the early-exit payoff a serving client sees
+// (BENCH_6.json).
 func BenchmarkServeClassifyConf(b *testing.B) {
 	net := decisiveBenchNet(b, 256, 256, 4)
 	x := make([]float64, 256)
@@ -140,7 +202,7 @@ func BenchmarkServeClassifyConf(b *testing.B) {
 			if _, err := reg.Register("m", net, nil); err != nil {
 				b.Fatal(err)
 			}
-			srv := NewServer(reg, Config{MaxBatch: 1, Window: -1, QueueCap: 1024, FlushWorkers: 4})
+			srv := NewServer(reg, Config{MaxBatch: 1, QueueCap: 1024, FlushWorkers: 4})
 			ts := httptest.NewServer(srv.Handler())
 			defer func() { ts.Close(); srv.Close() }()
 			body, err := json.Marshal(ClassifyRequest{Model: "m", Seed: 1, SPF: 4, Input: x,

@@ -70,6 +70,7 @@ func TestServeEnsembleExactBitIdentical(t *testing.T) {
 	configs := []Config{
 		{MaxBatch: 1, Window: -1, Workers: 1, FlushWorkers: 1},
 		{MaxBatch: 16, Window: 2 * time.Millisecond, Workers: 4},
+		{}, // the default busy-aware batcher
 	}
 	for ci, cfg := range configs {
 		t.Run(fmt.Sprintf("cfg%d", ci), func(t *testing.T) {
@@ -158,6 +159,7 @@ func TestServeEnsembleApproxDeterministic(t *testing.T) {
 	for ci, cfg := range []Config{
 		{MaxBatch: 1, Window: -1, Workers: 1, FlushWorkers: 1},
 		{MaxBatch: 8, Window: time.Millisecond, Workers: 4},
+		{}, // the default busy-aware batcher
 	} {
 		reg := NewRegistry()
 		if _, err := reg.Register("m", net, nil); err != nil {

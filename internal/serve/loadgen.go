@@ -6,7 +6,10 @@
 // closed-loop benchmarks (fixed worker count, one request per worker at a
 // time), an open-loop generator does not slow down when the server does —
 // which is exactly what exposes the latency collapse and the admission
-// controller's shedding behavior near saturation.
+// controller's shedding behavior near saturation. Latency is timed from each
+// request's scheduled arrival, not from when the generator got round to
+// sending it, so a stalled sender shows up in the quantiles instead of
+// vanishing from them (coordinated omission).
 package serve
 
 import (
@@ -71,6 +74,10 @@ type LoadConfig struct {
 	// Client is the HTTP client (default: pooled transport sized for the
 	// configured concurrency).
 	Client *http.Client
+
+	// beforeLaunch, when set, runs on the sending goroutine just before
+	// arrival i is launched (tests stall the sender with it).
+	beforeLaunch func(i int)
 }
 
 func (c LoadConfig) withDefaults() LoadConfig {
@@ -105,9 +112,10 @@ func (c LoadConfig) withDefaults() LoadConfig {
 	return c
 }
 
-// LoadReport is the outcome of one load run. Latency quantiles cover
-// successful (200) requests only; shed (429) turnaround is near-instant and
-// would flatter the tail if mixed in.
+// LoadReport is the outcome of one load run. Latency runs from a request's
+// scheduled arrival to its response. The quantiles cover successful (200)
+// requests only; shed (429) turnaround is near-instant and would flatter the
+// tail if mixed in.
 type LoadReport struct {
 	TargetRate float64 `json:"target_rate_rps"`
 	DurationS  float64 `json:"duration_s"`
@@ -235,13 +243,16 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (LoadReport, error) {
 		if now.After(end) || ctx.Err() != nil {
 			break
 		}
-		if next.After(now) {
-			time.Sleep(next.Sub(now))
+		due := next
+		if due.After(now) {
+			time.Sleep(due.Sub(now))
 			if ctx.Err() != nil {
 				break
 			}
 		}
-		launch := time.Now()
+		if cfg.beforeLaunch != nil {
+			cfg.beforeLaunch(reqIndex)
+		}
 		mi := reqIndex % len(cfg.Models)
 		si := (reqIndex / len(cfg.Models)) % cfg.Seeds
 		body := exact[mi][si]
@@ -250,7 +261,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (LoadReport, error) {
 		}
 		reqIndex++
 		next = next.Add(expGap())
-		measured := !launch.Before(statsStart)
+		measured := !due.Before(statsStart)
 		if measured {
 			report.Requests++
 		}
@@ -266,7 +277,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (LoadReport, error) {
 			defer wg.Done()
 			defer outst.Add(-1)
 			resp, err := cfg.Client.Post(url, "application/json", bytes.NewReader(raw))
-			elapsed := time.Since(launch)
+			elapsed := time.Since(due)
 			var status int
 			var answeredBy string
 			if err == nil {

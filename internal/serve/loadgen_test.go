@@ -133,6 +133,37 @@ func TestRunLoadAgainstLiveServer(t *testing.T) {
 	}
 }
 
+// TestRunLoadTimesFromDueTime: a sender that stalls must not hide the stall.
+// Every arrival due while the generator was stuck is charged the time it
+// waited to be sent, so the stalled arrival itself reports at least the stall
+// even though the server answers each request in a few milliseconds.
+func TestRunLoadTimesFromDueTime(t *testing.T) {
+	_, ts := demoTestServer(t)
+	models, err := FetchModels(ts.Client(), ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const stall = 300 * time.Millisecond
+	report, err := RunLoad(context.Background(), LoadConfig{
+		URL: ts.URL, Rate: 200, Duration: 600 * time.Millisecond,
+		Models: models, Seeds: 8, GenSeed: 3, Client: ts.Client(),
+		beforeLaunch: func(i int) {
+			if i == 10 {
+				time.Sleep(stall)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.OK == 0 || report.Errors != 0 {
+		t.Fatalf("unhealthy run: %+v", report)
+	}
+	if report.MaxMS < 0.8*float64(stall.Milliseconds()) {
+		t.Fatalf("max latency %.1fms after a %s sender stall: the stall was omitted", report.MaxMS, stall)
+	}
+}
+
 // TestQuantileNearestRank: the nearest-rank picks match hand-computed ranks.
 func TestQuantileNearestRank(t *testing.T) {
 	sorted := []int64{1e6, 2e6, 3e6, 4e6, 5e6, 6e6, 7e6, 8e6, 9e6, 10e6}

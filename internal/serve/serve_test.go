@@ -150,6 +150,7 @@ func TestServeEndToEndBitIdentical(t *testing.T) {
 		{MaxBatch: 1, Window: -1, Workers: 1, FlushWorkers: 1}, // no coalescing at all
 		{MaxBatch: 8, Window: 2 * time.Millisecond, Workers: 4},
 		{MaxBatch: 64, Window: 5 * time.Millisecond, Workers: 2, FlushWorkers: 4, QueueCap: 512},
+		{}, // the default busy-aware batcher
 	}
 	n := 60
 	if testing.Short() {

@@ -1,9 +1,10 @@
 // Package serve is the dynamic-batching inference service in front of the
 // batched engine: an HTTP layer that accepts single and batched classify
 // requests, coalesces concurrent requests into engine batches through a
-// size- and deadline-triggered micro-batcher with a bounded queue, and serves
-// them from a registry of trained networks compiled once into
-// deploy.QuantPlans with a warm cache of sampled copies per (model, seed).
+// busy-aware micro-batcher (size- and optionally deadline-triggered) with a
+// bounded queue, and serves them from a registry of trained networks
+// compiled once into deploy.QuantPlans with a warm cache of sampled copies
+// per (model, seed).
 //
 // The load-bearing property is determinism: every random draw a request
 // consumes is derived from the request alone — the sampled copy from
@@ -36,8 +37,11 @@ import (
 type Config struct {
 	// MaxBatch is the size-triggered flush threshold (default 64).
 	MaxBatch int
-	// Window is the deadline-triggered flush latency bound (default 2ms;
-	// negative = flush immediately, no coalescing wait).
+	// Window is the deadline-triggered flush latency bound. Zero (the
+	// default; negative values clamp to it) is busy-aware batching: a request
+	// arriving at an idle pipeline is flushed at once, and only requests
+	// arriving while a flush runs wait, coalescing until it finishes or the
+	// batch reaches MaxBatch.
 	Window time.Duration
 	// QueueCap bounds the pending-item queue (default 4*MaxBatch); a full
 	// queue blocks request handlers (backpressure) instead of buffering
@@ -81,8 +85,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
 	}
-	if c.Window == 0 {
-		c.Window = 2 * time.Millisecond
+	if c.Window < 0 {
+		c.Window = 0
 	}
 	if c.MaxSPF <= 0 {
 		c.MaxSPF = 64
@@ -212,7 +216,7 @@ func NewServer(reg *Registry, cfg Config) *Server {
 	s := &Server{reg: reg, cfg: cfg.withDefaults(), start: time.Now()}
 	s.batcher = NewBatcher(BatcherConfig{
 		MaxBatch:     s.cfg.MaxBatch,
-		Window:       max(s.cfg.Window, 0),
+		Window:       s.cfg.Window,
 		QueueCap:     s.cfg.QueueCap,
 		FlushWorkers: s.cfg.FlushWorkers,
 	}, s.flushBatch)

@@ -215,7 +215,9 @@ func (r *Registry) RestoreSnapshot(raw []byte) (SnapshotInfo, error) {
 // WriteSnapshotFile writes the snapshot atomically (temp file + rename in
 // the target directory), so a crash mid-write can never leave a truncated
 // snapshot where the next boot would read it — the checksum would catch it,
-// but a half-written file should not even exist.
+// but a half-written file should not even exist. The temp file is synced
+// before the rename and the directory after it, so a power loss cannot
+// surface a renamed but empty file or lose the rename itself.
 func (r *Registry) WriteSnapshotFile(path string) (SnapshotInfo, error) {
 	raw, info, err := r.EncodeSnapshot()
 	if err != nil {
@@ -231,14 +233,32 @@ func (r *Registry) WriteSnapshotFile(path string) (SnapshotInfo, error) {
 		tmp.Close()
 		return SnapshotInfo{}, fmt.Errorf("serve: write snapshot: %w", err)
 	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return SnapshotInfo{}, fmt.Errorf("serve: write snapshot: %w", err)
+	}
 	if err := tmp.Close(); err != nil {
 		return SnapshotInfo{}, fmt.Errorf("serve: write snapshot: %w", err)
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return SnapshotInfo{}, fmt.Errorf("serve: write snapshot: %w", err)
 	}
+	if err := syncDir(dir); err != nil {
+		return SnapshotInfo{}, fmt.Errorf("serve: write snapshot: %w", err)
+	}
 	info.Path = path
 	return info, nil
+}
+
+// syncDir flushes a directory's entries (a completed rename) to stable
+// storage.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // RestoreSnapshotFile restores from path. The caller decides what a failure
