@@ -420,6 +420,58 @@ func BenchmarkChipDeployFrameDense(b *testing.B) {
 	}
 }
 
+// BenchmarkChipEnsembleFrame measures classification frames of whole-chip
+// ensembles, many sampled copies sharing one simulated chip, and reports
+// frames/s. Each copy is its own routing component, so Chip.Tick splits the
+// copies across up to GOMAXPROCS goroutines (internal/truenorth/shard.go).
+//   - bench3x66: 66 copies of the deep bench-3 net (4092 cores) at spf 1,
+//     placed by the annealer with the NoC observer attached, as in the
+//     offline workload of perfbench.
+//   - bench1x16: 16 copies of the bench-1 net (64 cores) at spf 4.
+func BenchmarkChipEnsembleFrame(b *testing.B) {
+	r := runner(b)
+	for _, tc := range []struct {
+		name               string
+		bench, copies, spf int
+		placer             deploy.Placer
+	}{
+		{"bench3x66", 3, 66, 1, deploy.PlacerAnneal},
+		{"bench1x16", 1, 16, 4, ""},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			bench, _ := eval.BenchByID(tc.bench)
+			m, err := r.Model(bench, "biased")
+			if err != nil {
+				b.Fatal(err)
+			}
+			_, test := r.Data(bench)
+			plan := deploy.CompileQuant(m.Net)
+			root := rng.NewPCG32(20160605, 11)
+			nets := make([]*deploy.SampledNet, tc.copies)
+			for k := range nets {
+				nets[k] = plan.Sample(root.Split(uint64(k)), deploy.DefaultSampleConfig())
+			}
+			var cn *deploy.ChipNet
+			if tc.placer != "" {
+				cn, err = deploy.BuildChipEnsemblePlaced(nets, deploy.MapSigned, 20160605, tc.placer)
+			} else {
+				cn, err = deploy.BuildChipEnsemble(nets, deploy.MapSigned, 20160605)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			src := rng.NewPCG32(20160605, 13)
+			cn.Frame(test.X[0], tc.spf, src) // compile plans and shards
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cn.Frame(test.X[i%test.Len()], tc.spf, src)
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "frames/s")
+		})
+	}
+}
+
 // BenchmarkSampleCopy measures copy-sampling throughput from a precompiled
 // QuantPlan — the repeats*copies inner loop of every deployment surface.
 func BenchmarkSampleCopy(b *testing.B) {

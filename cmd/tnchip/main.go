@@ -32,7 +32,7 @@ func main() {
 		spf       = flag.Int("spf", 1, "spikes per frame")
 		copies    = flag.Int("copies", 1, "network copies to place")
 		frames    = flag.Int("frames", 50, "test frames to run through the chip")
-		workers   = flag.Int("workers", 1, "worker goroutines, each simulating a private chip (0 = GOMAXPROCS; stochastic leak draws then depend on worker count, so the default stays single-threaded for bit-reproducible output)")
+		workers   = flag.Int("workers", 1, "worker goroutines, each simulating a private chip (0 = GOMAXPROCS); results do not depend on it: chips with stochastic leak are reseeded from each item's own stream, so any worker count gives bit-identical output")
 		dense     = flag.Bool("dense", false, "force the dense reference simulator (TickDense) instead of the event-driven tick; results are bit-identical, only speed differs")
 		faultSpec = flag.String("fault", "", "inject a fault spec (internal/fault syntax, e.g. 'seed=7,dead=0.25,drop=0.1,drift=0.5'); fault draws depend only on the spec and copy index, so any tnrepro sweep point's fault realization reproduces here")
 		deviation = flag.String("deviation", "", "write a deviation PGM of layer0/core0 and exit")

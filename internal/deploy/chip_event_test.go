@@ -2,6 +2,8 @@ package deploy
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/nn"
@@ -149,6 +151,70 @@ func TestChipFrameEventMatchesDenseRandomizedNets(t *testing.T) {
 					if a[k] != b[k] {
 						t.Fatalf("frame %d class %d: event %d vs dense %d", frame, k, a[k], b[k])
 					}
+				}
+			}
+		})
+	}
+}
+
+// TestChipEnsembleShardedMatchesDense is the deploy-level twin of the
+// sharded-tick differential test (truenorth.TestShardedTickMatchesDense): a
+// 16-copy two-layer ensemble, placed by the annealer with the NoC observer
+// attached, is large enough that Frame's ticks split its copies across
+// goroutines at GOMAXPROCS 2 and more. Class counts, Stats and every NoC
+// counter must equal FrameDense's with ==, frame after frame.
+func TestChipEnsembleShardedMatchesDense(t *testing.T) {
+	arch := &nn.Arch{
+		Name: "sharded", InputH: 16, InputW: 16, Block: 8, Stride: 4,
+		CoreSize: 64, Classes: 4, Tau: 4,
+		Windows: []nn.Window{{Size: 2, Stride: 1}},
+	}
+	net, err := arch.Build(rng.NewPCG32(41, 1), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := rng.NewPCG32(42, 1)
+	nets := make([]*SampledNet, 16)
+	for c := range nets {
+		nets[c] = Sample(net, root.Split(uint64(c)), DefaultSampleConfig())
+	}
+	procs := []int{1, 2, 3}
+	if p := runtime.GOMAXPROCS(0); p > 3 {
+		procs = append(procs, p) // go test -cpu 4 adds four shards
+	}
+	for _, procs := range procs {
+		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			event, err := BuildChipEnsemblePlaced(nets, MapSigned, 43, PlacerAnneal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dense, err := BuildChipEnsemblePlaced(nets, MapSigned, 43, PlacerAnneal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srcE, srcD, xsrc := rng.NewPCG32(44, 1), rng.NewPCG32(44, 1), rng.NewPCG32(45, 1)
+			x := make([]float64, 16*16)
+			for frame := 0; frame < 4; frame++ {
+				for i := range x {
+					x[i] = rng.Float64(xsrc)
+				}
+				spf := 1 + frame%3
+				a, b := event.Frame(x, spf, srcE), dense.FrameDense(x, spf, srcD)
+				if !slices.Equal(a, b) {
+					t.Fatalf("frame %d: counts %v vs dense %v", frame, a, b)
+				}
+				if sa, sb := event.Chip.Stats(), dense.Chip.Stats(); sa != sb {
+					t.Fatalf("frame %d: stats %+v vs dense %+v", frame, sa, sb)
+				}
+				na, nb := event.Chip.NoC(), dense.Chip.NoC()
+				if na.Spikes != nb.Spikes || na.Hops != nb.Hops || !slices.Equal(na.CoreSpikes, nb.CoreSpikes) ||
+					!slices.Equal(na.HLink, nb.HLink) || !slices.Equal(na.VLink, nb.VLink) {
+					t.Fatalf("frame %d: NoC counters diverged (spikes %d/%d, hops %d/%d)",
+						frame, na.Spikes, nb.Spikes, na.Hops, nb.Hops)
+				}
+				if na.Spikes == 0 {
+					t.Fatalf("frame %d routed nothing between layers", frame)
 				}
 			}
 		})

@@ -452,11 +452,11 @@ func TestEventSkipsQuietCores(t *testing.T) {
 		}
 	}
 	ch.Tick() // compile plans on a quiet tick
-	if len(ch.idleCores) != 0 {
-		t.Fatalf("inert cores classified idle-active: %v", ch.idleCores)
+	if idle := shardLists(ch, func(sh *shard) []int { return sh.idle }); len(idle) != 0 {
+		t.Fatalf("inert cores classified idle-active: %v", idle)
 	}
-	if len(ch.worklist) != 0 {
-		t.Fatalf("quiet tick left a worklist: %v", ch.worklist)
+	if wl := worklist(ch); len(wl) != 0 {
+		t.Fatalf("quiet tick left a worklist: %v", wl)
 	}
 	s := ch.Stats()
 	if s.Ticks != 1 || s.Spikes != 0 || s.SynEvents != 0 {
@@ -464,8 +464,8 @@ func TestEventSkipsQuietCores(t *testing.T) {
 	}
 	// Activity wakes exactly the injected core.
 	ch.Inject(2, 0)
-	if len(ch.worklist) != 1 || ch.worklist[0] != 2 {
-		t.Fatalf("worklist %v after Inject(2,0)", ch.worklist)
+	if wl := worklist(ch); len(wl) != 1 || wl[0] != 2 {
+		t.Fatalf("worklist %v after Inject(2,0)", wl)
 	}
 	ch.Tick()
 	if got := ch.Stats().Spikes; got != 4 {
