@@ -164,6 +164,8 @@ func TestDocsCoreFilesExist(t *testing.T) {
 		"internal/truenorth/noc.go",
 		"internal/truenorth/anneal.go",
 		"internal/truenorth/chip.go",
+		"internal/truenorth/shard.go",
+		"internal/truenorth/shard_test.go",
 		"internal/deploy/chip.go",
 		"internal/truenorth/placement_test.go",
 		"internal/truenorth/placement_fuzz_test.go",

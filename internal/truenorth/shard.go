@@ -1,7 +1,5 @@
 package truenorth
 
-import "sync"
-
 // This file partitions a chip into shards that Chip.Tick evaluates and
 // delivers on separate goroutines. A shard is a set of whole connected
 // components of the chip's static core-to-core routing graph, so a spike
@@ -157,40 +155,6 @@ func (ch *Chip) tickWork() int {
 		}
 	}
 	return work
-}
-
-// tickShards runs every shard's evaluate-and-deliver step: in sequence on
-// the caller, adding straight into the chip's totals, when there is one
-// shard or too little work; otherwise each shard on its own goroutine,
-// shard 0 adding into the chip's totals and the others into private tallies
-// merged in shard order after the join. The caller waits rather than taking
-// shard 0 itself: a goroutine it spawns and then keeps running beside waits
-// to be stolen from its run queue, which measured 1.15-1.4x slower at
-// 2048-4096 neurons of work in fanOutWork's benchmark.
-func (ch *Chip) tickShards() {
-	own := tally{stats: &ch.stats, ext: ch.extCounts, noc: ch.noc}
-	if len(ch.shards) == 1 || ch.tickWork() < fanOutWork {
-		for _, sh := range ch.shards {
-			ch.tickShard(sh, own)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(len(ch.shards))
-	for s, sh := range ch.shards {
-		t := own
-		if s > 0 {
-			t = sh.private(ch)
-		}
-		go func() {
-			defer wg.Done()
-			ch.tickShard(sh, t)
-		}()
-	}
-	wg.Wait()
-	for _, sh := range ch.shards[1:] {
-		sh.mergeInto(ch)
-	}
 }
 
 // private returns the shard's private tally, sized to the chip's current
