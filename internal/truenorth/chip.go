@@ -261,15 +261,16 @@ func (ch *Chip) ensurePlans() {
 	if rebuild {
 		for _, sh := range ch.shards {
 			sh.idle, sh.faultEval = sh.idle[:0], sh.faultEval[:0]
-			for _, i := range sh.cores {
-				if len(ch.corePlans[i].idle) > 0 {
-					sh.idle = append(sh.idle, i)
-				} else if ch.faults != nil && ch.faults[i] != nil && ch.faults[i].forceFire != nil {
-					// A force-fire fault makes an otherwise inert core spike
-					// on quiet ticks; the dense oracle sees that for free,
-					// the event path must visit the core explicitly.
-					sh.faultEval = append(sh.faultEval, i)
-				}
+		}
+		for i, p := range ch.corePlans {
+			sh := ch.shards[ch.coreShard[i]]
+			if len(p.idle) > 0 {
+				sh.idle = append(sh.idle, i)
+			} else if ch.faults != nil && ch.faults[i] != nil && ch.faults[i].forceFire != nil {
+				// A force-fire fault makes an otherwise inert core spike on
+				// quiet ticks; the dense oracle sees that for free, the event
+				// path must visit the core explicitly.
+				sh.faultEval = append(sh.faultEval, i)
 			}
 		}
 	}

@@ -23,11 +23,9 @@ package truenorth
 // 1.30x (1.08-1.39) at 2048, the first size it won in every run.
 const fanOutWork = 2048
 
-// shard is one goroutine's share of a tick: the cores of a set of whole
-// routing components together with their event-driven worklists.
+// shard is one goroutine's share of a tick: the event-driven worklists of
+// the cores of a set of whole routing components (Chip.coreShard).
 type shard struct {
-	// cores lists the shard's cores in ascending order.
-	cores []int
 	// worklist holds the shard's dirty cores, in first-marked order.
 	worklist []int
 	// idle and faultEval are the shard's idle-active and force-fire-only
@@ -116,9 +114,7 @@ func (ch *Chip) partition(procs int) {
 	}
 	ch.coreShard = make([]int32, n)
 	for i := range comp {
-		s := shardOf[comp[i]]
-		ch.coreShard[i] = s
-		ch.shards[s].cores = append(ch.shards[s].cores, i)
+		ch.coreShard[i] = shardOf[comp[i]]
 	}
 	ch.shardProcs = procs
 	for i, d := range ch.dirty {

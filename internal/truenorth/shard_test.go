@@ -256,30 +256,24 @@ func relayChains(sizes ...int) *Chip {
 	return ch
 }
 
-// checkPartition asserts the structural partition invariants: shards cover
-// every core exactly once in ascending order, every route stays inside its
-// shard, and there are at most procs shards.
-func checkPartition(t *testing.T, ch *Chip, procs int) {
+// checkPartition asserts the structural partition invariants: every core
+// maps to a shard, no shard is empty, every route stays inside its shard,
+// and there are at most procs shards. It returns the shard sizes.
+func checkPartition(t *testing.T, ch *Chip, procs int) []int {
 	t.Helper()
 	if len(ch.shards) > procs {
 		t.Fatalf("%d shards for GOMAXPROCS %d", len(ch.shards), procs)
 	}
-	var all []int
-	for s, sh := range ch.shards {
-		if !slices.IsSorted(sh.cores) {
-			t.Fatalf("shard %d cores not ascending", s)
-		}
-		for _, i := range sh.cores {
-			if int(ch.coreShard[i]) != s {
-				t.Fatalf("core %d listed in shard %d, mapped to %d", i, s, ch.coreShard[i])
-			}
-		}
-		all = append(all, sh.cores...)
+	if len(ch.coreShard) != ch.NumCores() {
+		t.Fatalf("%d of %d cores partitioned", len(ch.coreShard), ch.NumCores())
 	}
-	slices.Sort(all)
-	for i, c := range all {
-		if c != i || len(all) != ch.NumCores() {
-			t.Fatalf("shards do not partition the %d cores", ch.NumCores())
+	sizes := make([]int, len(ch.shards))
+	for _, s := range ch.coreShard {
+		sizes[s]++
+	}
+	for s, n := range sizes {
+		if n == 0 {
+			t.Fatalf("shard %d is empty", s)
 		}
 	}
 	for i, ts := range ch.targets {
@@ -289,6 +283,7 @@ func checkPartition(t *testing.T, ch *Chip, procs int) {
 			}
 		}
 	}
+	return sizes
 }
 
 // TestShardPartition pins how shards are cut: whole components, at most
@@ -296,13 +291,6 @@ func checkPartition(t *testing.T, ch *Chip, procs int) {
 // 33/33 and 22/22/22 copies), a chip that is one component stays one shard,
 // and the shard count follows GOMAXPROCS changes at the next tick.
 func TestShardPartition(t *testing.T) {
-	sizes := func(ch *Chip) []int {
-		var s []int
-		for _, sh := range ch.shards {
-			s = append(s, len(sh.cores))
-		}
-		return s
-	}
 	ens := relayChains(slices.Repeat([]int{3}, 66)...)
 	for _, tc := range []struct {
 		procs int
@@ -315,8 +303,7 @@ func TestShardPartition(t *testing.T) {
 	} {
 		withProcs(tc.procs, func() {
 			ens.Tick()
-			checkPartition(t, ens, tc.procs)
-			if got := sizes(ens); !slices.Equal(got, tc.want) {
+			if got := checkPartition(t, ens, tc.procs); !slices.Equal(got, tc.want) {
 				t.Fatalf("GOMAXPROCS %d: shard sizes %v, want %v", tc.procs, got, tc.want)
 			}
 		})
@@ -332,8 +319,7 @@ func TestShardPartition(t *testing.T) {
 		// share the rest, and shards left empty are dropped.
 		ch := relayChains(10, 1, 1, 1, 1, 1, 1)
 		ch.Tick()
-		checkPartition(t, ch, 4)
-		if got := sizes(ch); !slices.Equal(got, []int{10, 2, 4}) {
+		if got := checkPartition(t, ch, 4); !slices.Equal(got, []int{10, 2, 4}) {
 			t.Fatalf("uneven components: shard sizes %v, want [10 2 4]", got)
 		}
 	})
