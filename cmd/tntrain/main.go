@@ -38,6 +38,7 @@ func main() {
 	r := eval.NewRunner(opt, os.Stderr)
 	train, test := r.Data(b)
 	cfg, defLambda := opt.TrainConfig(*penalty)
+	cfg.Progress = r.Progress(b.Name+"/"+*penalty, train.Len())
 	if *lambda >= 0 {
 		defLambda = *lambda
 	}

@@ -141,6 +141,11 @@ func TestDocsCoreFilesExist(t *testing.T) {
 		"internal/engine/engine.go",
 		"internal/serve/registry.go",
 		"internal/nn/batch.go",
+		"internal/nn/batch_test.go",
+		"internal/nn/trainer.go",
+		"internal/tensor/spike.go",
+		"internal/tensor/gemm_test.go",
+		"internal/eval/golden_test.go",
 		"internal/truenorth/event.go",
 		"internal/truenorth/event_test.go",
 		"internal/deploy/chip_event_test.go",

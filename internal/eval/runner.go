@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -17,7 +18,8 @@ import (
 // multi-experiment invocation trains each (bench, penalty) model exactly once.
 type Runner struct {
 	Opt Options
-	// Log receives progress lines; nil silences them.
+	// Log receives progress lines: plain text, plus one JSON object line per
+	// training epoch (see epochLine). nil silences them.
 	Log io.Writer
 
 	mu     sync.Mutex
@@ -75,6 +77,7 @@ func (r *Runner) Model(b Bench, penalty string) (*core.Model, error) {
 
 	train, test := r.Data(b)
 	cfg, lambda := r.Opt.TrainConfig(penalty)
+	cfg.Progress = r.Progress(b.Name+"/"+penalty, train.Len())
 	start := time.Now()
 	m, err := core.TrainModel(core.TrainSpec{
 		Arch: b.Arch, Penalty: penalty, Lambda: lambda, Train: cfg, Seed: r.Opt.Seed + uint64(b.ID),
@@ -88,6 +91,44 @@ func (r *Runner) Model(b Bench, penalty string) (*core.Model, error) {
 	r.models[key] = m
 	r.mu.Unlock()
 	return m, nil
+}
+
+// epochLine is the training-progress record a Runner with a Log writes as
+// one JSON line per epoch.
+type epochLine struct {
+	Model    string  `json:"model"` // bench name/penalty
+	Epoch    int     `json:"epoch"` // 1-based
+	Loss     float64 `json:"loss"`  // mean training loss over the epoch
+	TrainAcc float64 `json:"train_acc"`
+	// WallS is the epoch's wall time, and SamplesPerS the training samples
+	// it processed per second of it.
+	WallS       float64 `json:"wall_s"`
+	SamplesPerS float64 `json:"samples_per_s"`
+}
+
+// Progress returns the nn.TrainConfig.Progress callback that writes the
+// per-epoch epochLine records of model, trained on samples samples, to
+// r.Log; nil when r.Log is nil. It only observes: the trained weights are
+// the same with and without it.
+func (r *Runner) Progress(model string, samples int) func(epoch int, loss, acc float64) {
+	if r.Log == nil {
+		return nil
+	}
+	last := time.Now()
+	return func(epoch int, loss, acc float64) {
+		now := time.Now()
+		wall := now.Sub(last).Seconds()
+		last = now
+		line, err := json.Marshal(epochLine{
+			Model: model, Epoch: epoch + 1, Loss: loss, TrainAcc: acc,
+			WallS: wall, SamplesPerS: float64(samples) / wall,
+		})
+		if err != nil { // a NaN loss has no JSON form
+			r.logf("%s epoch %d: %v", model, epoch+1, err)
+			return
+		}
+		r.Log.Write(append(line, '\n'))
+	}
 }
 
 // EvalConfig assembles the deployment evaluation configuration every

@@ -28,7 +28,8 @@ type batchScratch struct {
 	// dAct[0] is nil: input gradients are never consumed.
 	dAct, dFull []*tensor.Matrix
 	probs       *tensor.Matrix
-	// spike is the tensor-kernel workspace (compacted nonzero panels).
+	// spike is the tensor-kernel workspace (compacted input rows for the
+	// forward pass, the transposed input panel for the backward pass).
 	spike *tensor.SpikeScratch
 }
 

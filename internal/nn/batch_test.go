@@ -90,17 +90,70 @@ func refShardRun(net *Network, g *netGrads, inputs [][]float64, labels []int, id
 	return loss, correct
 }
 
+// zeroEdges rewrites a random net and its inputs to hit every exact-zero
+// case the batched kernels treat differently from the per-sample reference
+// (which skips x == 0, w == 0 and da == 0 terms): +0 and -0 weights and
+// biases, an all-zero input sample (with SigmaFloor = 0: sigma == 0), an
+// input feature that is zero in every sample, and samples whose upstream
+// gradient is exactly zero — a readout temperature high enough that the
+// softmax rounds to one-hot, with those samples labelled as predicted.
+func zeroEdges(src *rng.PCG32, net *Network, inputs [][]float64, labels []int) {
+	negZero := math.Copysign(0, -1)
+	for _, l := range net.Layers {
+		for _, c := range l.Cores {
+			for i := range c.W.Data {
+				switch rng.Intn(src, 8) {
+				case 0:
+					c.W.Data[i] = 0
+				case 1:
+					c.W.Data[i] = negZero
+				}
+			}
+			for i := range c.Bias {
+				switch rng.Intn(src, 4) {
+				case 0:
+					c.Bias[i] = 0
+				case 1:
+					c.Bias[i] = negZero
+				}
+			}
+		}
+	}
+	clear(inputs[rng.Intn(src, len(inputs))])
+	if rng.Bernoulli(src, 0.5) {
+		net.SigmaFloor = 0
+	}
+	k := rng.Intn(src, len(inputs[0]))
+	for _, x := range inputs {
+		x[k] = 0
+	}
+	net.Readout.Tau = 1e6
+	for s, x := range inputs {
+		if rng.Bernoulli(src, 0.5) {
+			labels[s] = tensor.ArgMax(net.Predict(x))
+		}
+	}
+}
+
+// sameBits reports whether a and b are the same float64 bit pattern, so +0
+// and -0 count as different.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
 // TestBatchedShardMatchesReference is the batched-vs-reference cross-check
-// of the deterministic-numerics contract: over 30 randomized networks the
+// of the deterministic-numerics contract: over 60 randomized networks (half
+// of them rewritten by zeroEdges) and shards of 1 to 17 samples, the
 // batched forward/backward shard must reproduce the per-sample reference
 // bit for bit — activations, mu/sigma panels, loss, accuracy, and every
 // weight/bias gradient, including overlapping-window input-gradient scatter.
 func TestBatchedShardMatchesReference(t *testing.T) {
 	src := rng.NewPCG32(20160605, 9)
-	for trial := 0; trial < 30; trial++ {
+	for trial := 0; trial < 60; trial++ {
 		net := randomNet(src)
-		b := 1 + rng.Intn(src, 9)
+		b := 1 + rng.Intn(src, 17) // production shards hold 16
 		inputs, labels := randomInputs(src, net, b)
+		if rng.Bernoulli(src, 0.5) {
+			zeroEdges(src, net, inputs, labels)
+		}
 		idx := make([]int, b)
 		for i := range idx {
 			idx[i] = i
@@ -112,7 +165,7 @@ func TestBatchedShardMatchesReference(t *testing.T) {
 		sh := &trainShard{g: net.newGrads(), bs: net.newBatchScratch(b, true)}
 		sh.run(net, inputs, labels, idx)
 
-		if sh.loss != refLoss || sh.correct != refCorrect {
+		if !sameBits(sh.loss, refLoss) || sh.correct != refCorrect {
 			t.Fatalf("trial %d: shard loss/correct %v/%d, ref %v/%d", trial, sh.loss, sh.correct, refLoss, refCorrect)
 		}
 		// Panels: compare the batched forward against per-sample scratches.
@@ -121,13 +174,13 @@ func TestBatchedShardMatchesReference(t *testing.T) {
 			net.forward(ref, inputs[si])
 			for li := range net.Layers {
 				for j := range ref.full[li] {
-					if got := sh.bs.full[li].At(s, j); got != ref.full[li][j] {
+					if got := sh.bs.full[li].At(s, j); !sameBits(got, ref.full[li][j]) {
 						t.Fatalf("trial %d: act[%d][%d] sample %d = %v, ref %v", trial, li, j, s, got, ref.full[li][j])
 					}
-					if got := sh.bs.mu[li].At(s, j); got != ref.mu[li][j] {
+					if got := sh.bs.mu[li].At(s, j); !sameBits(got, ref.mu[li][j]) {
 						t.Fatalf("trial %d: mu[%d][%d] sample %d = %v, ref %v", trial, li, j, s, got, ref.mu[li][j])
 					}
-					if got := sh.bs.sigma[li].At(s, j); got != ref.sigma[li][j] {
+					if got := sh.bs.sigma[li].At(s, j); !sameBits(got, ref.sigma[li][j]) {
 						t.Fatalf("trial %d: sigma[%d][%d] sample %d = %v, ref %v", trial, li, j, s, got, ref.sigma[li][j])
 					}
 				}
@@ -138,13 +191,13 @@ func TestBatchedShardMatchesReference(t *testing.T) {
 			for ci := range gRef.layers[li] {
 				rw, bw := gRef.layers[li][ci], sh.g.layers[li][ci]
 				for i := range rw.W.Data {
-					if bw.W.Data[i] != rw.W.Data[i] {
+					if !sameBits(bw.W.Data[i], rw.W.Data[i]) {
 						t.Fatalf("trial %d: layer %d core %d weight grad %d = %v, ref %v",
 							trial, li, ci, i, bw.W.Data[i], rw.W.Data[i])
 					}
 				}
 				for i := range rw.Bias {
-					if bw.Bias[i] != rw.Bias[i] {
+					if !sameBits(bw.Bias[i], rw.Bias[i]) {
 						t.Fatalf("trial %d: layer %d core %d bias grad %d = %v, ref %v",
 							trial, li, ci, i, bw.Bias[i], rw.Bias[i])
 					}
@@ -281,10 +334,19 @@ func refTrain(net *Network, train *dataset.Dataset, cfg TrainConfig) float64 {
 // TestTrainBitIdenticalToReference pins the end-to-end contract: the batched
 // pooled trainer produces bit-identical weights, biases and loss to the
 // per-sample reference SGD across worker counts, penalties, warmup and
-// batch shapes (including batches not divisible by the worker count and
-// workers exceeding the batch size).
+// batch shapes (including batches not divisible by the worker count,
+// workers exceeding the batch size, shards of 16 and 17 samples, and three
+// shards, whose sum depends on the merge order). Every
+// config also runs on an edge copy: +0/-0 weights and biases, an all-zero
+// sample and an input feature that is zero throughout.
 func TestTrainBitIdenticalToReference(t *testing.T) {
-	train := blobs(94, 11) // 94 not divisible by batch or workers
+	plain := blobs(94, 11) // 94 not divisible by batch or workers
+	edge := blobs(94, 11)
+	edge.Name = "blobs-edge"
+	clear(edge.X[5])
+	for _, x := range edge.X {
+		x[9] = 0
+	}
 	configs := []TrainConfig{
 		{Epochs: 2, Batch: 8, LR: 0.1, Momentum: 0.9, Seed: 3, Workers: 1},
 		{Epochs: 2, Batch: 16, LR: 0.15, Momentum: 0.9, LRDecay: 0.9, Seed: 5, Workers: 3},
@@ -292,29 +354,55 @@ func TestTrainBitIdenticalToReference(t *testing.T) {
 		{Epochs: 2, Batch: 8, LR: 0.1, Momentum: 0.9, Lambda: 0.01, Penalty: L1Penalty{}, Seed: 9, Workers: 2},
 		{Epochs: 1, Batch: 5, LR: 0.2, Momentum: 0, Lambda: 0.001, Penalty: L2Penalty{}, Seed: 11, Workers: 8},
 		{Epochs: 1, Batch: 4, LR: 0.1, Momentum: 0.9, Seed: 13, Workers: 16}, // workers > batch
+		{Epochs: 2, Batch: 32, LR: 0.1, Momentum: 0.9, Lambda: 0.004, Penalty: NewBiasedPenalty(), Seed: 15, Workers: 2},
+		{Epochs: 2, Batch: 34, LR: 0.1, Momentum: 0.9, Seed: 17, Workers: 2},
+		{Epochs: 2, Batch: 48, LR: 0.1, Momentum: 0.9, Lambda: 0.01, Penalty: L1Penalty{}, Seed: 21, Workers: 3}, // three shards
+		{Epochs: 1, Batch: 17, LR: 0.1, Momentum: 0.9, Seed: 19, Workers: 1},
 	}
 	for i, cfg := range configs {
-		netRef, _ := blobArch().Build(rng.NewPCG32(6, uint64(i)), 1)
-		netNew, _ := blobArch().Build(rng.NewPCG32(6, uint64(i)), 1)
-		refLoss := refTrain(netRef, train, cfg)
-		newLoss, err := Train(netNew, train, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if newLoss != refLoss {
-			t.Fatalf("config %d: loss %v, ref %v", i, newLoss, refLoss)
-		}
-		aw, bw := netRef.Weights(), netNew.Weights()
-		for j := range aw {
-			if aw[j] != bw[j] {
-				t.Fatalf("config %d: weight %d differs: %v vs %v", i, j, bw[j], aw[j])
+		for _, train := range []*dataset.Dataset{plain, edge} {
+			netRef, _ := blobArch().Build(rng.NewPCG32(6, uint64(i)), 1)
+			netNew, _ := blobArch().Build(rng.NewPCG32(6, uint64(i)), 1)
+			if train == edge {
+				src := rng.NewPCG32(8, uint64(i))
+				for li, l := range netRef.Layers {
+					for ci, c := range l.Cores {
+						cn := netNew.Layers[li].Cores[ci]
+						for k := range c.W.Data {
+							switch rng.Intn(src, 8) {
+							case 0:
+								c.W.Data[k], cn.W.Data[k] = 0, 0
+							case 1:
+								c.W.Data[k], cn.W.Data[k] = math.Copysign(0, -1), math.Copysign(0, -1)
+							}
+						}
+						for k := range c.Bias {
+							c.Bias[k] = math.Copysign(0, float64(rng.Intn(src, 2))-0.5)
+							cn.Bias[k] = c.Bias[k]
+						}
+					}
+				}
 			}
-		}
-		for li, l := range netRef.Layers {
-			for ci, c := range l.Cores {
-				for bi, v := range c.Bias {
-					if got := netNew.Layers[li].Cores[ci].Bias[bi]; got != v {
-						t.Fatalf("config %d: bias %d/%d/%d differs", i, li, ci, bi)
+			refLoss := refTrain(netRef, train, cfg)
+			newLoss, err := Train(netNew, train, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameBits(newLoss, refLoss) {
+				t.Fatalf("config %d (%s): loss %v, ref %v", i, train.Name, newLoss, refLoss)
+			}
+			for li, l := range netRef.Layers {
+				for ci, c := range l.Cores {
+					cn := netNew.Layers[li].Cores[ci]
+					for k, v := range c.W.Data {
+						if !sameBits(cn.W.Data[k], v) {
+							t.Fatalf("config %d (%s): weight %d/%d/%d = %v, ref %v", i, train.Name, li, ci, k, cn.W.Data[k], v)
+						}
+					}
+					for k, v := range c.Bias {
+						if !sameBits(cn.Bias[k], v) {
+							t.Fatalf("config %d (%s): bias %d/%d/%d = %v, ref %v", i, train.Name, li, ci, k, cn.Bias[k], v)
+						}
 					}
 				}
 			}

@@ -163,6 +163,9 @@ func TrainMLP(m *MLP, train *dataset.Dataset, cfg MLPTrainConfig) error {
 	if train.Len() == 0 {
 		return fmt.Errorf("nn: TrainMLP: empty dataset")
 	}
+	if cfg.Batch <= 0 {
+		return fmt.Errorf("nn: TrainMLP: batch size %d, want > 0", cfg.Batch)
+	}
 	if train.FeatDim != m.W[0].Cols {
 		return fmt.Errorf("nn: TrainMLP: %d features vs %d inputs", train.FeatDim, m.W[0].Cols)
 	}

@@ -219,10 +219,13 @@ func (n *Network) newScratch() *scratch {
 
 // forward computes all layer activations for input x into s and returns the
 // final layer's exported activation vector. Together with backward it is the
-// per-sample REFERENCE path: the batched training kernels (batch.go,
-// tensor.SpikeForwardBatch/SpikeBackwardBatch) are pinned bit-for-bit
-// against it by batch_test.go, so any change here must be mirrored there.
-// Predict and the cross-check tests run it; the training hot loop does not.
+// per-sample REFERENCE path, the oracle of the batched training kernels
+// (batch.go, tensor.SpikeForwardBatch/SpikeBackwardBatch): they run the same
+// accumulation chains in other loop orders, adding some of the zero terms
+// this loop skips as exact ±0 (see tensor/spike.go's header), and
+// batch_test.go and tensor's gemm_test.go pin them bit-for-bit against it —
+// so any change here must be mirrored there. Predict and the cross-check
+// tests run it; the training hot loop does not.
 func (n *Network) forward(s *scratch, x []float64) []float64 {
 	copy(s.acts[0], x)
 	for li, l := range n.Layers {

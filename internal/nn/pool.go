@@ -14,9 +14,10 @@ import (
 // costs more than the work a small shard contains.
 //
 // Determinism note: the pool hands out task indices, not data. Training
-// binds task index w to shard w's gradient buffers, so which goroutine runs
-// a task never affects where its results accumulate, and the fixed-order
-// shard reduction stays bit-reproducible for a given worker count.
+// binds task index w to shard w's gradient buffers, and in its update round
+// task t to core t's parameters, so which goroutine runs a task never
+// affects where its results accumulate, and the fixed-order shard reduction
+// stays bit-reproducible for a given worker count.
 type pool struct {
 	nw    int
 	tasks int

@@ -110,11 +110,13 @@ func (sh *trainShard) run(n *Network, inputs [][]float64, labels []int, idx []in
 // final epoch's mean training loss.
 //
 // The hot loop is batched: each worker shard flows through the tensor
-// package's minibatch GEMM/spike kernels, a persistent work-stealing pool
-// replaces the per-batch goroutine fan-out, and per-shard gradients merge in
-// fixed ascending shard order. The deterministic-reduction contract: the
-// shard partition is a pure function of (batch, Workers) via shardChunk, so
-// for a given (net, dataset, config) — including Workers — training is
+// package's minibatch spike kernels, and a persistent work-stealing pool
+// runs the shards, then runs the momentum update as one task per
+// (layer, core), folding the per-shard gradients in fixed ascending shard
+// order. The deterministic-reduction
+// contract: the shard partition is a pure function of (batch, Workers) via
+// shardChunk, and every weight's update reads only its own core's buffers,
+// so for a given (net, dataset, config) — including Workers — training is
 // bit-reproducible, and it is bit-identical to the per-sample reference
 // path run under that same partition and merge order (pinned by
 // batch_test.go). As before the batching, changing Workers regroups the
@@ -126,6 +128,9 @@ func Train(net *Network, train *dataset.Dataset, cfg TrainConfig) (float64, erro
 	if train.Len() == 0 {
 		return 0, fmt.Errorf("nn: train: empty dataset")
 	}
+	if cfg.Batch <= 0 {
+		return 0, fmt.Errorf("nn: train: batch size %d, want > 0", cfg.Batch)
+	}
 	if cfg.Penalty == nil {
 		cfg.Penalty = NonePenalty{}
 	}
@@ -136,18 +141,23 @@ func Train(net *Network, train *dataset.Dataset, cfg TrainConfig) (float64, erro
 	for i := range shards {
 		shards[i] = &trainShard{g: net.newGrads(), bs: net.newBatchScratch(shardCap, true)}
 	}
-	velocity := net.newGrads()
+	updates := newCoreUpdates(net, shards, net.newGrads())
 	inputs := padInputs(net, train)
 	pool := newPool(nw)
 	defer pool.close()
 
 	src := rng.NewPCG32(cfg.Seed, 77)
-	lr := cfg.LR
+	step := sgdStep{momentum: cfg.Momentum, cmax: net.CMax, lr: cfg.LR, pen: cfg.Penalty}
+	update := func(t int) { updates[t].apply(&step) }
 	var lastLoss float64
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		batches := dataset.Batches(src, train.Len(), cfg.Batch, true)
 		var totalLoss float64
 		var totalCorrect int
+		step.lambda = cfg.Lambda
+		if epoch < cfg.Warmup {
+			step.lambda = 0
+		}
 		for _, batch := range batches {
 			chunk := shardChunk(len(batch), nw)
 			active := (len(batch) + chunk - 1) / chunk
@@ -160,77 +170,99 @@ func Train(net *Network, train *dataset.Dataset, cfg TrainConfig) (float64, erro
 				totalLoss += shards[w].loss
 				totalCorrect += shards[w].correct
 			}
-			lambda := cfg.Lambda
-			if epoch < cfg.Warmup {
-				lambda = 0
-			}
-			applyUpdate(net, shards, active, velocity, lr, lambda, cfg, float64(len(batch)))
+			step.active, step.inv = active, 1/float64(len(batch))
+			pool.run(len(updates), update)
 		}
 		lastLoss = totalLoss / float64(train.Len())
 		if cfg.Progress != nil {
 			cfg.Progress(epoch, lastLoss, float64(totalCorrect)/float64(train.Len()))
 		}
 		if cfg.LRDecay > 0 {
-			lr *= cfg.LRDecay
+			step.lr *= cfg.LRDecay
 		}
 	}
 	return lastLoss, nil
 }
 
-// applyUpdate performs one momentum SGD step straight from the unreduced
-// shard gradients:
-// v <- momentum*v - lr*(sum(shardGrad)/batch + lambda*penaltyGrad);
-// w <- clamp(w+v). The shard reduction folds into the update pass in fixed
+// sgdStep is one minibatch's momentum-SGD step:
+// v <- momentum*v - lr*(sum(shardGrad)*inv + lambda*penaltyGrad);
+// w <- clamp(w+v, -cmax, cmax), with inv = 1/batch size.
+type sgdStep struct {
+	active                          int // shards holding gradients
+	lr, lambda, momentum, inv, cmax float64
+	pen                             Penalty
+}
+
+// coreUpdate is one task of the pooled SGD step: a core's parameters, their
+// velocity, and every shard's gradient buffers for that core. Tasks touch
+// disjoint memory, so the pool may run them on any goroutine in any order.
+type coreUpdate struct {
+	core   *CoreSpec
+	vel    coreGrads
+	gw, gb [][]float64 // shard s's weight and bias gradients
+}
+
+// newCoreUpdates lays out one update task per (layer, core), velocity
+// buffers taken from vel.
+func newCoreUpdates(net *Network, shards []*trainShard, vel *netGrads) []coreUpdate {
+	var us []coreUpdate
+	for li, l := range net.Layers {
+		for ci, c := range l.Cores {
+			u := coreUpdate{core: c, vel: vel.layers[li][ci]}
+			for _, sh := range shards {
+				g := sh.g.layers[li][ci]
+				u.gw = append(u.gw, g.W.Data)
+				u.gb = append(u.gb, g.Bias)
+			}
+			us = append(us, u)
+		}
+	}
+	return us
+}
+
+// apply runs st on the task's core straight from the unreduced shard
+// gradients: the shard reduction folds into the update pass in fixed
 // ascending shard order — bit-identical to merging the buffers first, but
 // one pass over gradient memory instead of two. The concrete-penalty
 // dispatch devirtualizes the per-weight Grad call of the known penalties
 // while keeping the update arithmetic identical.
-func applyUpdate(net *Network, shards []*trainShard, active int, velocity *netGrads, lr, lambda float64, cfg TrainConfig, batchSize float64) {
-	switch p := cfg.Penalty.(type) {
+func (u *coreUpdate) apply(st *sgdStep) {
+	switch p := st.pen.(type) {
 	case NonePenalty:
-		applyUpdateWith(net, shards, active, velocity, lr, lambda, cfg, batchSize, p)
+		applyCore(u, st, p)
 	case L1Penalty:
-		applyUpdateWith(net, shards, active, velocity, lr, lambda, cfg, batchSize, p)
+		applyCore(u, st, p)
 	case L2Penalty:
-		applyUpdateWith(net, shards, active, velocity, lr, lambda, cfg, batchSize, p)
+		applyCore(u, st, p)
 	case BiasedPenalty:
-		applyUpdateWith(net, shards, active, velocity, lr, lambda, cfg, batchSize, p)
+		applyCore(u, st, p)
 	default:
-		applyUpdateWith(net, shards, active, velocity, lr, lambda, cfg, batchSize, cfg.Penalty)
+		applyCore(u, st, st.pen)
 	}
 }
 
-func applyUpdateWith[P Penalty](net *Network, shards []*trainShard, active int, velocity *netGrads, lr, lambda float64, cfg TrainConfig, batchSize float64, pen P) {
-	inv := 1 / batchSize
-	wsrc := make([][]float64, active)
-	bsrc := make([][]float64, active)
-	for li, l := range net.Layers {
-		for ci, c := range l.Cores {
-			v := velocity.layers[li][ci]
-			for s := 0; s < active; s++ {
-				wsrc[s] = shards[s].g.layers[li][ci].W.Data
-				bsrc[s] = shards[s].g.layers[li][ci].Bias
-			}
-			for i := range c.W.Data {
-				g := wsrc[0][i]
-				for s := 1; s < active; s++ {
-					g += wsrc[s][i]
-				}
-				w := c.W.Data[i]
-				grad := g*inv + lambda*pen.Grad(w, net.CMax)
-				v.W.Data[i] = cfg.Momentum*v.W.Data[i] - lr*grad
-				c.W.Data[i] = tensor.Clamp(w+v.W.Data[i], -net.CMax, net.CMax)
-			}
-			for j := range c.Bias {
-				g := bsrc[0][j]
-				for s := 1; s < active; s++ {
-					g += bsrc[s][j]
-				}
-				grad := g * inv
-				v.Bias[j] = cfg.Momentum*v.Bias[j] - lr*grad
-				c.Bias[j] += v.Bias[j]
-			}
+func applyCore[P Penalty](u *coreUpdate, st *sgdStep, pen P) {
+	gw, gb := u.gw[:st.active], u.gb[:st.active]
+	w, vw := u.core.W.Data, u.vel.W.Data
+	for i := range w {
+		g := gw[0][i]
+		for _, src := range gw[1:] {
+			g += src[i]
 		}
+		wi := w[i]
+		grad := g*st.inv + st.lambda*pen.Grad(wi, st.cmax)
+		vw[i] = st.momentum*vw[i] - st.lr*grad
+		w[i] = tensor.Clamp(wi+vw[i], -st.cmax, st.cmax)
+	}
+	b, vb := u.core.Bias, u.vel.Bias
+	for j := range b {
+		g := gb[0][j]
+		for _, src := range gb[1:] {
+			g += src[j]
+		}
+		grad := g * st.inv
+		vb[j] = st.momentum*vb[j] - st.lr*grad
+		b[j] += vb[j]
 	}
 }
 

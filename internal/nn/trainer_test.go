@@ -3,6 +3,8 @@ package nn
 import (
 	"bytes"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -178,6 +180,41 @@ func TestTrainRejectsEmptyDataset(t *testing.T) {
 	empty := &dataset.Dataset{Name: "empty", FeatDim: 64, NumClasses: 2, Height: 8, Width: 8}
 	if _, err := Train(net, empty, DefaultTrainConfig()); err == nil {
 		t.Fatal("empty dataset accepted")
+	}
+}
+
+// TestTrainersRejectBadBatch: a non-positive minibatch size is a
+// configuration error both trainers return before touching the model.
+func TestTrainersRejectBadBatch(t *testing.T) {
+	data := blobs(40, 3)
+	for _, batch := range []int{0, -1} {
+		for _, tc := range []struct {
+			name  string
+			train func() (before, after []float64, err error)
+		}{
+			{"Train", func() ([]float64, []float64, error) {
+				net, _ := blobArch().Build(rng.NewPCG32(5, 5), 1)
+				before := net.Weights()
+				cfg := DefaultTrainConfig()
+				cfg.Batch = batch
+				_, err := Train(net, data, cfg)
+				return before, net.Weights(), err
+			}},
+			{"TrainMLP", func() ([]float64, []float64, error) {
+				m := NewMLP(rng.NewPCG32(2, 2), 64, 16, 2)
+				before := append([]float64(nil), m.W[0].Data...)
+				err := TrainMLP(m, data, MLPTrainConfig{Epochs: 1, Batch: batch, LR: 0.1, Seed: 1})
+				return before, m.W[0].Data, err
+			}},
+		} {
+			before, after, err := tc.train()
+			if err == nil || !strings.Contains(err.Error(), "batch size") {
+				t.Errorf("%s batch %d: err %v, want a batch size error", tc.name, batch, err)
+			}
+			if !slices.Equal(before, after) {
+				t.Errorf("%s batch %d: weights changed", tc.name, batch)
+			}
+		}
 	}
 }
 
